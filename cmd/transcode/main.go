@@ -729,7 +729,7 @@ func serveFleet(ctx context.Context, o fleetOpts) error {
 			sr.Shard, sr.Report.Rounds, len(sr.Report.Completed), len(sr.Report.Migrated), sr.Restarts, status)
 	}
 	if ring != nil {
-		if e, tiles := ring.Report(-1).MeanEstimateErr(0); tiles > 0 {
+		if e, tiles := core.MeanEstimateErr(ring.Outcomes(-1), 0); tiles > 0 {
 			fmt.Printf("  mean stage-D1 estimate error %.1f%% over %d tiles (ring sink, %d rounds dropped)\n",
 				100*e, tiles, ring.Dropped())
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -42,6 +43,34 @@ func testSessionConfig(mode Mode) SessionConfig {
 	cfg.Retile.MinTileW, cfg.Retile.MinTileH = 48, 48
 	cfg.BaselineTiles = 4
 	return cfg
+}
+
+// recordRounds chains a collector onto srv's OnRound hook (after any hook
+// already set) and returns the slice it fills: every round Run serves, in
+// order. Call it before Run.
+func recordRounds(srv *Server) *[]*GOPOutcome {
+	outs := new([]*GOPOutcome)
+	hook := srv.cfg.OnRound
+	srv.cfg.OnRound = func(out *GOPOutcome) {
+		*outs = append(*outs, out)
+		if hook != nil {
+			hook(out)
+		}
+	}
+	return outs
+}
+
+// serveToEnd closes srv's arrival queue and drives Run to completion,
+// returning its report and every round it served, in order.
+func serveToEnd(t *testing.T, srv *Server) (*ServiceReport, []*GOPOutcome) {
+	t.Helper()
+	outs := recordRounds(srv)
+	srv.Close()
+	rep, err := srv.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, *outs
 }
 
 func newTestSession(t *testing.T, mode Mode) *Session {
@@ -236,11 +265,11 @@ func TestServerServesMultipleUsers(t *testing.T) {
 	classes := []medgen.Class{medgen.Brain, medgen.Chest, medgen.Bone}
 	for i := 0; i < 3; i++ {
 		src := testSource(t, classes[i], medgen.Rotate, 4)
-		if _, err := srv.AddSession(src, testSessionConfig(ModeProposed)); err != nil {
+		if _, err := srv.Submit(src, testSessionConfig(ModeProposed)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	out, err := srv.ServeGOP()
+	out, err := srv.ServeGOP(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,19 +289,16 @@ func TestServerServesMultipleUsers(t *testing.T) {
 	}
 }
 
-func TestServerServeAllCompletes(t *testing.T) {
+func TestServerRunCompletes(t *testing.T) {
 	srv, err := NewServer(ServerConfig{Platform: mpsoc.XeonE5_2667V4(), FPS: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := testSource(t, medgen.Brain, medgen.Pan, 8)
-	if _, err := srv.AddSession(src, testSessionConfig(ModeProposed)); err != nil {
+	if _, err := srv.Submit(src, testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
-	outs, err := srv.ServeAll(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, outs := serveToEnd(t, srv)
 	if len(outs) != 2 { // 8 frames / GOP 4
 		t.Fatalf("%d rounds, want 2", len(outs))
 	}
@@ -288,13 +314,13 @@ func TestServerSharesLUTAcrossSameClassSessions(t *testing.T) {
 	}
 	a := testSource(t, medgen.Brain, medgen.Rotate, 4)
 	b := testSource(t, medgen.Brain, medgen.Pan, 4)
-	if _, err := srv.AddSession(a, testSessionConfig(ModeProposed)); err != nil {
+	if _, err := srv.Submit(a, testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.AddSession(b, testSessionConfig(ModeProposed)); err != nil {
+	if _, err := srv.Submit(b, testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.ServeGOP(); err != nil {
+	if _, err := srv.ServeGOP(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	lut := srv.Store().ForClass("brain")
@@ -316,10 +342,10 @@ func TestServerBaselineAllocator(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := testSource(t, medgen.Chest, medgen.Rotate, 4)
-	if _, err := srv.AddSession(src, testSessionConfig(ModeBaseline)); err != nil {
+	if _, err := srv.Submit(src, testSessionConfig(ModeBaseline)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := srv.ServeGOP()
+	out, err := srv.ServeGOP(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

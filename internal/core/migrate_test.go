@@ -43,10 +43,7 @@ func TestMigrationRoundTripBitIdentical(t *testing.T) {
 	if _, err := control.Submit(testSource(t, medgen.Brain, medgen.Rotate, frames), testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
-	controlOuts, err := control.ServeAll(16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, controlOuts := serveToEnd(t, control)
 	want := gopDigests(controlOuts, 0)
 	if len(want) != 4 {
 		t.Fatalf("control served %d GOPs, want 4", len(want))
@@ -60,7 +57,7 @@ func TestMigrationRoundTripBitIdentical(t *testing.T) {
 	}
 	var donorOuts []*GOPOutcome
 	for i := 0; i < 2; i++ {
-		out, err := donor.ServeGOP()
+		out, err := donor.ServeGOP(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,10 +100,7 @@ func TestMigrationRoundTripBitIdentical(t *testing.T) {
 	if target.Store().ForClass("brain") == nil {
 		t.Fatal("target store has no brain LUT")
 	}
-	targetOuts, err := target.ServeAll(16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, targetOuts := serveToEnd(t, target)
 	got := append(gopDigests(donorOuts, 0), gopDigests(targetOuts, 1)...)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("migrated digest chain %v != control %v", got, want)
@@ -131,7 +125,7 @@ func TestMigrationCarriesDegradationState(t *testing.T) {
 	}
 	sess.SetQPOffset(8)
 	sess.HalveRate()
-	if _, err := donor.ServeGOP(); err != nil {
+	if _, err := donor.ServeGOP(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,7 +152,7 @@ func TestMigrationCarriesDegradationState(t *testing.T) {
 	if _, err := target.Submit(testSource(t, medgen.Brain, medgen.Still, 12), testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := target.ServeGOP()
+	out, err := target.ServeGOP(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,17 +242,14 @@ func TestExportSessionDuringRunBitIdentical(t *testing.T) {
 	if _, err := control.Submit(testSource(t, medgen.Chest, medgen.Pan, frames), testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
-	controlOuts, err := control.ServeAll(16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, controlOuts := serveToEnd(t, control)
 	want := gopDigests(controlOuts, 0)
 
 	target := newMigrationServer(t)
 	var donor *Server
 	var donorOuts []*GOPOutcome
 	var exported *SessionSnapshot
-	donor, err = NewServer(ServerConfig{
+	donor, err := NewServer(ServerConfig{
 		Platform: mpsoc.XeonE5_2667V4(),
 		FPS:      24,
 		OnRound: func(out *GOPOutcome) {
@@ -303,11 +294,7 @@ func TestExportSessionDuringRunBitIdentical(t *testing.T) {
 		t.Fatalf("donor state %v, want migrated", st)
 	}
 
-	target.Close()
-	targetRep, err := target.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	targetRep, targetOuts := serveToEnd(t, target)
 	if len(targetRep.Completed) != 1 || targetRep.Imported != 1 {
 		t.Fatalf("target report %+v, want the adopted session completed", targetRep)
 	}
@@ -317,7 +304,7 @@ func TestExportSessionDuringRunBitIdentical(t *testing.T) {
 
 	// Zero loss: the victim's GOPs split exactly across the two servers.
 	got := gopDigests(donorOuts, 1)
-	got = append(got, gopDigests(targetRep.Outcomes, 0)...)
+	got = append(got, gopDigests(targetOuts, 0)...)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("handed-off digest chain differs from the solo run:\n got %v\nwant %v", got, want)
 	}
@@ -415,7 +402,7 @@ func TestMigrationCarriesTenantIdentity(t *testing.T) {
 		testSessionConfig(ModeProposed), SubmitOptions{Tenant: "er", Priority: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := donor.ServeGOP(); err != nil {
+	if _, err := donor.ServeGOP(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

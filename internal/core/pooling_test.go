@@ -18,18 +18,12 @@ import (
 // the pools are safe across the concurrent serving goroutines.
 func TestPooledEncodeBitIdentical(t *testing.T) {
 	ref := fourUserServer(t, true)
-	refOuts, err := ref.ServeAll(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, refOuts := serveToEnd(t, ref)
 
 	codec.PoisonPools()
 	dirty := fourUserServer(t, false)
 	dirty.cfg.OnRound = func(*GOPOutcome) { codec.PoisonPools() }
-	dirtyOuts, err := dirty.ServeAll(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, dirtyOuts := serveToEnd(t, dirty)
 
 	if len(refOuts) != len(dirtyOuts) {
 		t.Fatalf("rounds: pristine %d, poisoned %d", len(refOuts), len(dirtyOuts))

@@ -187,12 +187,11 @@ type sessionRecord struct {
 // admitted session, each budgeted with the tile parallelism its allocation
 // planned (DESIGN.md §6).
 //
-// Concurrency contract: Submit, AddSession, Close, Sessions, Store and
+// Concurrency contract: Submit, SubmitWith, Close, Sessions, Store and
 // StateOf are safe to call from any goroutine, at any time — including
-// while Run is serving. The serving methods themselves (Run, ServeGOP,
-// ServeGOPContext, ServeAll, ServeAllContext) must be driven by a single
-// goroutine at a time; Run enforces this by failing when a Run is already
-// active.
+// while Run is serving. The serving methods themselves (Run and the
+// one-round step ServeGOP) must be driven by a single goroutine at a
+// time; Run enforces this by failing when a Run is already active.
 type Server struct {
 	cfg   ServerConfig
 	store *workload.Store
@@ -272,13 +271,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 
 // Store exposes the per-class workload LUT store (shared across sessions).
 func (s *Server) Store() *workload.Store { return s.store }
-
-// AddSession creates a session for src and registers it. The session
-// shares the workload LUT of its body-part class. It is Submit under the
-// historical name.
-func (s *Server) AddSession(src FrameSource, cfg SessionConfig) (*Session, error) {
-	return s.Submit(src, cfg)
-}
 
 // SubmitOptions carries a submission's QoS identity — the per-request
 // half of the unified submit surface (serve.SubmitRequest is the fleet-
@@ -487,23 +479,19 @@ type roundSession struct {
 	estimates []time.Duration
 }
 
-// ServeGOP runs one full round: estimate → allocate → simulate → encode.
-// Sessions that are finished are skipped; if every session is finished an
-// error is returned. See ServeGOPContext for the error contract.
-func (s *Server) ServeGOP() (*GOPOutcome, error) {
-	return s.ServeGOPContext(context.Background())
-}
-
-// ServeGOPContext is ServeGOP with cancellation. The admitted sessions
-// encode concurrently, each with the tile-worker budget of its allocated
-// cores, and every session that finishes its GOP immediately runs stage
-// A–C analysis for its next GOP so the following round's estimation is
+// ServeGOP runs one full round: estimate → allocate → simulate → encode
+// — the round Run serves, as a step for callers that drive rounds
+// themselves. Finished sessions are skipped; if every session is
+// finished an error is returned. The admitted sessions encode
+// concurrently, each with the tile-worker budget of its allocated cores,
+// and every session that finishes its GOP immediately runs stage A–C
+// analysis for its next GOP so the following round's estimation is
 // already prepared (estimate-ahead, overlapping the slower sessions'
 // encodes). If any session fails, the round's partial outcome is returned
-// alongside the error: the other sessions' completed GOP reports are in
-// GOPs. After a cancellation, sessions may be stopped mid-GOP and the
-// server must not be reused.
-func (s *Server) ServeGOPContext(ctx context.Context) (*GOPOutcome, error) {
+// alongside the first failing session's error: the other sessions'
+// completed GOP reports are in GOPs. After a cancellation, sessions may
+// be stopped mid-GOP and the server must not be reused.
+func (s *Server) ServeGOP(ctx context.Context) (*GOPOutcome, error) {
 	out, sessErrs, err := s.serveRound(ctx)
 	if err != nil {
 		return out, err
@@ -962,44 +950,4 @@ func (s *Server) encodeConcurrent(ctx context.Context, alloc *sched.Result, byID
 		}
 	}
 	return sessErrs
-}
-
-// ServeAll runs ServeGOP until every session finishes or maxRounds is
-// reached, returning all outcomes. Sessions rejected in one round compete
-// again in the next (the paper's saturated-queue regime keeps the rejected
-// users waiting).
-func (s *Server) ServeAll(maxRounds int) ([]*GOPOutcome, error) {
-	return s.ServeAllContext(context.Background(), maxRounds)
-}
-
-// ServeAllContext is ServeAll with cancellation. On a round error the
-// outcomes returned include that round's partial outcome (if any), so the
-// completed sessions' work remains accountable.
-func (s *Server) ServeAllContext(ctx context.Context, maxRounds int) ([]*GOPOutcome, error) {
-	var outs []*GOPOutcome
-	for round := 0; round < maxRounds; round++ {
-		s.mu.Lock()
-		done := true
-		for _, rec := range s.records {
-			if rec.state == StateQueued && !rec.sess.Finished() {
-				done = false
-				break
-			}
-		}
-		s.mu.Unlock()
-		if done {
-			return outs, nil
-		}
-		out, err := s.ServeGOPContext(ctx)
-		if out != nil {
-			outs = append(outs, out)
-		}
-		if err != nil {
-			return outs, err
-		}
-		if len(out.AdmittedUsers) == 0 && len(out.TimedOut) == 0 {
-			return outs, fmt.Errorf("core: no user admitted in round %d — demands exceed platform", round)
-		}
-	}
-	return outs, nil
 }

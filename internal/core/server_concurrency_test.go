@@ -38,29 +38,23 @@ func fourUserServer(t *testing.T, sequential bool) *Server {
 	}
 	for _, sp := range specs {
 		src := testSource(t, sp.class, sp.motion, 8)
-		if _, err := srv.AddSession(src, testSessionConfig(ModeProposed)); err != nil {
+		if _, err := srv.Submit(src, testSessionConfig(ModeProposed)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return srv
 }
 
-// TestServeAllConcurrentMatchesSequential is the bit-identity contract of
+// TestRunConcurrentMatchesSequential is the bit-identity contract of
 // the concurrent serving loop: four sessions served in parallel must
 // produce exactly the bitstreams the sequential reference path produces.
 // Run under -race this also exercises the cross-session concurrency.
-func TestServeAllConcurrentMatchesSequential(t *testing.T) {
+func TestRunConcurrentMatchesSequential(t *testing.T) {
 	seq := fourUserServer(t, true)
 	par := fourUserServer(t, false)
 
-	seqOuts, err := seq.ServeAll(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parOuts, err := par.ServeAll(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, seqOuts := serveToEnd(t, seq)
+	_, parOuts := serveToEnd(t, par)
 	if len(seqOuts) != len(parOuts) {
 		t.Fatalf("rounds: sequential %d, concurrent %d", len(seqOuts), len(parOuts))
 	}
@@ -102,7 +96,7 @@ func TestServeAllConcurrentMatchesSequential(t *testing.T) {
 // global Workers constant.
 func TestConcurrentWorkersFollowAllocation(t *testing.T) {
 	srv := fourUserServer(t, false)
-	out, err := srv.ServeGOP()
+	out, err := srv.ServeGOP(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +151,14 @@ func TestRejectedSessionReestimatesCleanly(t *testing.T) {
 	}
 	victim := testSource(t, medgen.Brain, medgen.Rotate, 8)
 	other := testSource(t, medgen.Chest, medgen.Pan, 8)
-	if _, err := srv.AddSession(victim, testSessionConfig(ModeProposed)); err != nil {
+	if _, err := srv.Submit(victim, testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.AddSession(other, testSessionConfig(ModeProposed)); err != nil {
+	if _, err := srv.Submit(other, testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
 
-	out1, err := srv.ServeGOP()
+	out1, err := srv.ServeGOP(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +169,7 @@ func TestRejectedSessionReestimatesCleanly(t *testing.T) {
 		t.Fatalf("rejected session advanced to frame %d", srv.Sessions()[0].NextFrame())
 	}
 
-	out2, err := srv.ServeGOP()
+	out2, err := srv.ServeGOP(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +225,13 @@ func TestServeGOPReturnsPartialOutcomeOnError(t *testing.T) {
 		}
 		good := testSource(t, medgen.Brain, medgen.Rotate, 8)
 		bad := &badAfterSource{FrameSource: testSource(t, medgen.Chest, medgen.Pan, 8), badFrom: 1}
-		if _, err := srv.AddSession(good, testSessionConfig(ModeProposed)); err != nil {
+		if _, err := srv.Submit(good, testSessionConfig(ModeProposed)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := srv.AddSession(bad, testSessionConfig(ModeProposed)); err != nil {
+		if _, err := srv.Submit(bad, testSessionConfig(ModeProposed)); err != nil {
 			t.Fatal(err)
 		}
-		out, err := srv.ServeGOP()
+		out, err := srv.ServeGOP(context.Background())
 		if err == nil {
 			t.Fatal("round with a failing session succeeded")
 		}
@@ -264,7 +258,7 @@ func TestServeGOPCancellation(t *testing.T) {
 	srv := fourUserServer(t, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := srv.ServeGOPContext(ctx); err != context.Canceled {
+	if _, err := srv.ServeGOP(ctx); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -275,7 +269,7 @@ func TestServeGOPCancellation(t *testing.T) {
 // previous GOP's.
 func TestEstimateAheadPreparesNextGOP(t *testing.T) {
 	srv := fourUserServer(t, false)
-	if _, err := srv.ServeGOP(); err != nil {
+	if _, err := srv.ServeGOP(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, sess := range srv.Sessions() {

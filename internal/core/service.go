@@ -37,18 +37,17 @@ type ServiceReport struct {
 	Energy mpsoc.Totals
 	// Errors holds the terminal error of every failed session.
 	Errors map[int]error
-	// Outcomes holds every served round in order.
-	Outcomes []*GOPOutcome
 }
 
 // MeanEstimateErr returns the tile-weighted mean relative stage-D1
-// estimation error over the rounds with index ≥ fromRound (0 covers the
-// whole run). The second return is the number of measured tiles behind
-// the mean; 0 tiles yields (0, 0).
-func (r *ServiceReport) MeanEstimateErr(fromRound int) (float64, int) {
+// estimation error over the rounds in outs with index ≥ fromRound (0
+// covers them all) — outs being the rounds an observer kept, from
+// ServerConfig.OnRound or serve.RingSink.Outcomes. The second return is
+// the number of measured tiles behind the mean; 0 tiles yields (0, 0).
+func MeanEstimateErr(outs []*GOPOutcome, fromRound int) (float64, int) {
 	var sum float64
 	var tiles int
-	for _, out := range r.Outcomes {
+	for _, out := range outs {
 		if out.Round >= fromRound && out.EstimateTiles > 0 {
 			sum += out.EstimateErr * float64(out.EstimateTiles)
 			tiles += out.EstimateTiles
@@ -63,7 +62,6 @@ func (r *ServiceReport) MeanEstimateErr(fromRound int) (float64, int) {
 // absorb folds one round into the report.
 func (r *ServiceReport) absorb(out *GOPOutcome) {
 	r.Rounds++
-	r.Outcomes = append(r.Outcomes, out)
 	r.Energy.Add(out.Energy)
 	for _, gop := range out.GOPs {
 		r.GOPReports++
@@ -71,8 +69,16 @@ func (r *ServiceReport) absorb(out *GOPOutcome) {
 	}
 }
 
-// finalize snapshots the terminal session states.
-func (s *Server) finalize(r *ServiceReport) {
+// Finalize snapshots the server's session states into r: the submitted
+// and imported counts, the terminal-state id lists and the failed
+// sessions' errors. Run calls it before returning; a fleet calls it
+// again after transitions that land outside a Run (Abort, a drain's
+// export and dead-lettering) so its shard report tells the truth. A nil
+// r starts a fresh report; the filled report is returned.
+func (s *Server) Finalize(r *ServiceReport) *ServiceReport {
+	if r == nil {
+		r = &ServiceReport{}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r.Submitted = len(s.records)
@@ -95,6 +101,7 @@ func (s *Server) finalize(r *ServiceReport) {
 			r.Migrated = append(r.Migrated, id)
 		}
 	}
+	return r
 }
 
 // hasServable reports whether any session is waiting for service.
@@ -132,7 +139,7 @@ func (s *Server) isClosed() bool {
 // sessions keep streaming.
 //
 // Run must be the only serving goroutine: it fails if another Run is
-// active, and ServeGOP/ServeAll must not be called while it runs. Submit
+// active, and ServeGOP must not be called while it runs. Submit
 // and Close are safe from any goroutine, including ServerConfig.OnRound.
 func (s *Server) Run(ctx context.Context) (*ServiceReport, error) {
 	s.mu.Lock()
@@ -149,15 +156,14 @@ func (s *Server) Run(ctx context.Context) (*ServiceReport, error) {
 	}()
 
 	rep := &ServiceReport{}
+	defer s.Finalize(rep)
 	for {
 		if err := ctx.Err(); err != nil {
-			s.finalize(rep)
 			return rep, err
 		}
 		if s.isDraining() {
 			// Drain: stop at the GOP boundary with the sessions still
 			// queued — the caller exports them (see migrate.go).
-			s.finalize(rep)
 			return rep, nil
 		}
 		if !s.hasServable() {
@@ -165,14 +171,12 @@ func (s *Server) Run(ctx context.Context) (*ServiceReport, error) {
 				// Re-check under the arrival race: a Submit may have
 				// landed between the two tests.
 				if !s.hasServable() {
-					s.finalize(rep)
 					return rep, nil
 				}
 				continue
 			}
 			select {
 			case <-ctx.Done():
-				s.finalize(rep)
 				return rep, ctx.Err()
 			case <-s.arrival:
 			}
@@ -184,7 +188,6 @@ func (s *Server) Run(ctx context.Context) (*ServiceReport, error) {
 			rep.absorb(out)
 		}
 		if err != nil {
-			s.finalize(rep)
 			return rep, err
 		}
 		// Failed sessions have departed (serveRound set their states and
@@ -193,7 +196,6 @@ func (s *Server) Run(ctx context.Context) (*ServiceReport, error) {
 			s.cfg.OnRound(out)
 		}
 		if len(out.AdmittedUsers) == 0 && len(out.TimedOut) == 0 && !s.cfg.Admission.Enabled {
-			s.finalize(rep)
 			return rep, fmt.Errorf("core: no user admitted in round %d — demands exceed platform (enable the admission ladder to shed load)", out.Round)
 		}
 	}

@@ -28,8 +28,9 @@ func driftModel() func(codec.TileStats) time.Duration {
 
 // churnService runs the acceptance scenario: two sessions are submitted
 // up front, two more arrive at staggered times (after rounds 0 and 1) from
-// the OnRound hook, and the queue closes once everyone is in.
-func churnService(t *testing.T, calibrate bool) (*ServiceReport, *Server) {
+// the OnRound hook, and the queue closes once everyone is in. It returns
+// the report, the server and every round served, in order.
+func churnService(t *testing.T, calibrate bool) (*ServiceReport, *Server, []*GOPOutcome) {
 	t.Helper()
 	srv, err := NewServer(ServerConfig{
 		Platform:    mpsoc.XeonE5_2667V4(),
@@ -58,18 +59,19 @@ func churnService(t *testing.T, calibrate bool) (*ServiceReport, *Server) {
 			srv.Close()
 		}
 	}
+	outs := recordRounds(srv)
 	rep, err := srv.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, srv
+	return rep, srv, *outs
 }
 
 // TestRunServesChurnWithoutLosingReports is the acceptance scenario:
 // sessions submitted at staggered times are admitted, served and completed
 // by Run with zero lost GOP reports.
 func TestRunServesChurnWithoutLosingReports(t *testing.T) {
-	rep, srv := churnService(t, true)
+	rep, srv, outs := churnService(t, true)
 
 	if rep.Submitted != 4 {
 		t.Fatalf("submitted %d, want 4", rep.Submitted)
@@ -94,11 +96,11 @@ func TestRunServesChurnWithoutLosingReports(t *testing.T) {
 	}
 	// The late arrivals really were late: round 0 served only sessions
 	// 0 and 1, and some later round served all four.
-	if got := rep.Outcomes[0].AdmittedUsers; len(got) != 2 {
+	if got := outs[0].AdmittedUsers; len(got) != 2 {
 		t.Fatalf("round 0 admitted %v, want the two initial sessions", got)
 	}
 	sawFour := false
-	for _, out := range rep.Outcomes {
+	for _, out := range outs {
 		if len(out.AdmittedUsers) == 4 {
 			sawFour = true
 		}
@@ -118,23 +120,23 @@ func TestRunServesChurnWithoutLosingReports(t *testing.T) {
 // "measurements" (driftModel), so the comparison is exact, not a timing
 // race.
 func TestCalibrationLowersEstimateError(t *testing.T) {
-	repOff, _ := churnService(t, false)
-	repOn, _ := churnService(t, true)
+	repOff, _, outsOff := churnService(t, false)
+	repOn, _, outsOn := churnService(t, true)
 
 	if repOn.Rounds != repOff.Rounds {
 		t.Fatalf("calibration changed the round count: %d vs %d", repOn.Rounds, repOff.Rounds)
 	}
 	// Calibration corrects estimates, never bits: both runs must produce
 	// identical bitstreams.
-	for r := range repOn.Outcomes {
-		for id, gop := range repOn.Outcomes[r].GOPs {
-			if other := repOff.Outcomes[r].GOPs[id]; other == nil || other.Digest != gop.Digest {
+	for r := range outsOn {
+		for id, gop := range outsOn[r].GOPs {
+			if other := outsOff[r].GOPs[id]; other == nil || other.Digest != gop.Digest {
 				t.Fatalf("round %d session %d: calibration changed the bitstream", r, id)
 			}
 		}
 	}
-	errOn, tilesOn := repOn.MeanEstimateErr(3)
-	errOff, tilesOff := repOff.MeanEstimateErr(3)
+	errOn, tilesOn := MeanEstimateErr(outsOn, 3)
+	errOff, tilesOff := MeanEstimateErr(outsOff, 3)
 	if tilesOn == 0 || tilesOn != tilesOff {
 		t.Fatalf("tile coverage differs: %d vs %d", tilesOn, tilesOff)
 	}
@@ -148,8 +150,8 @@ func TestCalibrationLowersEstimateError(t *testing.T) {
 }
 
 // goldenService runs two deterministic medgen sequences through Run and
-// returns per-session digest chains plus the report.
-func goldenService(t *testing.T, sequential, keepBits bool) (*ServiceReport, *Server, map[int][]uint64) {
+// returns per-session digest chains plus the report and the rounds served.
+func goldenService(t *testing.T, sequential, keepBits bool) (*ServiceReport, []*GOPOutcome, *Server, map[int][]uint64) {
 	t.Helper()
 	srv, err := NewServer(ServerConfig{
 		Platform:   mpsoc.XeonE5_2667V4(),
@@ -174,18 +176,14 @@ func goldenService(t *testing.T, sequential, keepBits bool) (*ServiceReport, *Se
 			t.Fatal(err)
 		}
 	}
-	srv.Close()
-	rep, err := srv.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, outs := serveToEnd(t, srv)
 	digests := make(map[int][]uint64)
-	for _, out := range rep.Outcomes {
+	for _, out := range outs {
 		for _, id := range out.AdmittedUsers {
 			digests[id] = append(digests[id], out.GOPs[id].Digest)
 		}
 	}
-	return rep, srv, digests
+	return rep, outs, srv, digests
 }
 
 // TestRunGoldenRegression locks the service loop's output down: digests
@@ -193,9 +191,9 @@ func goldenService(t *testing.T, sequential, keepBits bool) (*ServiceReport, *Se
 // Sequential reference mode, and the retained bitstreams decode back to
 // exactly the quality the encoder reported.
 func TestRunGoldenRegression(t *testing.T) {
-	_, _, first := goldenService(t, false, false)
-	_, _, second := goldenService(t, false, false)
-	repSeq, _, seq := goldenService(t, true, false)
+	_, _, _, first := goldenService(t, false, false)
+	_, _, _, second := goldenService(t, false, false)
+	repSeq, _, _, seq := goldenService(t, true, false)
 
 	if len(first) != 2 {
 		t.Fatalf("digest chains for %d sessions, want 2", len(first))
@@ -222,14 +220,14 @@ func TestRunGoldenRegression(t *testing.T) {
 
 	// Decode round-trip on retained bitstreams: the decoder must
 	// reconstruct exactly what the encoder measured, frame for frame.
-	rep, srv, _ := goldenService(t, false, true)
+	_, outs, srv, _ := goldenService(t, false, true)
 	for _, sess := range srv.Sessions() {
 		dec, err := codec.NewDecoder(sess.Config().Codec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		decoded := 0
-		for _, out := range rep.Outcomes {
+		for _, out := range outs {
 			gop := out.GOPs[sess.ID]
 			if gop == nil {
 				continue
@@ -305,16 +303,12 @@ func TestAdmissionLadderDegradesAndServes(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	srv.Close()
-	rep, err := srv.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, outs := serveToEnd(t, srv)
 	if len(rep.Completed) != 2 || len(rep.Rejected) != 0 || len(rep.Failed) != 0 {
 		t.Fatalf("completed %v rejected %v failed %v", rep.Completed, rep.Rejected, rep.Failed)
 	}
 	// The overloaded round refused session 1 and the ladder degraded it.
-	if got := rep.Outcomes[0].RejectedUsers; len(got) != 1 || got[0] != 1 {
+	if got := outs[0].RejectedUsers; len(got) != 1 || got[0] != 1 {
 		t.Fatalf("round 0 rejected %v, want [1]", got)
 	}
 	victim := srv.Sessions()[1]
@@ -356,11 +350,7 @@ func TestAdmissionDeadlineRejectsStarvedSession(t *testing.T) {
 	if _, err := srv.Submit(testSource(t, medgen.Bone, medgen.Pan, 8), vcfg); err != nil {
 		t.Fatal(err)
 	}
-	srv.Close()
-	rep, err := srv.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, outs := serveToEnd(t, srv)
 	if fmt.Sprint(rep.Completed) != "[0]" || fmt.Sprint(rep.Rejected) != "[1]" {
 		t.Fatalf("completed %v rejected %v", rep.Completed, rep.Rejected)
 	}
@@ -368,7 +358,7 @@ func TestAdmissionDeadlineRejectsStarvedSession(t *testing.T) {
 		t.Fatalf("victim state %v, want rejected", st)
 	}
 	sawTimeout := false
-	for _, out := range rep.Outcomes {
+	for _, out := range outs {
 		for _, id := range out.TimedOut {
 			if id == 1 {
 				sawTimeout = true
@@ -512,7 +502,7 @@ func TestSessionsReturnsCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.AddSession(testSource(t, medgen.Brain, medgen.Still, 4), testSessionConfig(ModeProposed)); err != nil {
+	if _, err := srv.Submit(testSource(t, medgen.Brain, medgen.Still, 4), testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
 	got := srv.Sessions()

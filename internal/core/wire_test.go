@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -157,10 +158,7 @@ func TestSessionWireThroughServerImport(t *testing.T) {
 	if _, err := control.Submit(speccedSource(t, medgen.Chest, medgen.Pan, frames), testSessionConfig(ModeProposed)); err != nil {
 		t.Fatal(err)
 	}
-	controlOuts, err := control.ServeAll(32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, controlOuts := serveToEnd(t, control)
 	want := gopDigests(controlOuts, 0)
 
 	donor := newMigrationServer(t)
@@ -169,7 +167,7 @@ func TestSessionWireThroughServerImport(t *testing.T) {
 	}
 	var got []uint64
 	for i := 0; i < 2; i++ {
-		out, err := donor.ServeGOP()
+		out, err := donor.ServeGOP(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,10 +200,7 @@ func TestSessionWireThroughServerImport(t *testing.T) {
 	if target.Imported() != 1 {
 		t.Fatalf("target Imported() = %d", target.Imported())
 	}
-	targetOuts, err := target.ServeAll(32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, targetOuts := serveToEnd(t, target)
 	got = append(got, gopDigests(targetOuts, sess.ID)...)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("imported-continuation digests %v, control %v", got, want)

@@ -404,7 +404,7 @@ func (a *Agent) exportOne(ctx context.Context, shard, session int) (*core.Sessio
 		err  error
 	}
 	ch := make(chan result, 1)
-	err := a.fleet.OnNextRound(shard, func(sh core.Shard) {
+	err := a.fleet.OnNextRound(shard, func(sh *core.Server) {
 		snap, err := sh.ExportSession(session)
 		if err != nil {
 			ch <- result{nil, err}
@@ -477,7 +477,7 @@ func (a *Agent) drainShard(ctx context.Context, shard int) ([]*core.SessionWire,
 		err   error
 	}
 	ch := make(chan result, 1)
-	err := a.fleet.OnNextRound(shard, func(sh core.Shard) {
+	err := a.fleet.OnNextRound(shard, func(sh *core.Server) {
 		wires, err := sh.CheckpointSessions()
 		if err != nil {
 			ch <- result{nil, err}

@@ -98,7 +98,16 @@ func testSessionConfig() core.SessionConfig {
 // — the digest chain every distributed continuation must reproduce.
 func soloDigests(t *testing.T, mc medgen.Config) []uint64 {
 	t.Helper()
-	srv, err := core.NewServer(core.ServerConfig{Platform: mpsoc.XeonE5_2667V4(), FPS: 24})
+	var digests []uint64
+	srv, err := core.NewServer(core.ServerConfig{
+		Platform: mpsoc.XeonE5_2667V4(),
+		FPS:      24,
+		OnRound: func(out *core.GOPOutcome) {
+			if gop := out.GOPs[0]; gop != nil {
+				digests = append(digests, gop.Digest)
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +118,9 @@ func soloDigests(t *testing.T, mc medgen.Config) []uint64 {
 	if _, err := srv.Submit(src, testSessionConfig()); err != nil {
 		t.Fatal(err)
 	}
-	outs, err := srv.ServeAll(64)
-	if err != nil {
+	srv.Close()
+	if _, err := srv.Run(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-	var digests []uint64
-	for _, out := range outs {
-		if gop := out.GOPs[0]; gop != nil {
-			digests = append(digests, gop.Digest)
-		}
 	}
 	return digests
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -161,7 +162,7 @@ func RunTable2(opt Table2Options) (*Table2Result, error) {
 			cfg.Mode = mode
 			cfg.BaselineTiles = baselineTiles
 			cfg.TimeModel = model
-			if _, err := srv.AddSession(src, cfg); err != nil {
+			if _, err := srv.Submit(src, cfg); err != nil {
 				return side, err
 			}
 		}
@@ -190,7 +191,7 @@ func RunTable2(opt Table2Options) (*Table2Result, error) {
 		}
 		var out *core.GOPOutcome
 		for round := 0; round < 2; round++ {
-			out, err = srv.ServeGOP()
+			out, err = srv.ServeGOP(context.Background())
 			if err != nil {
 				return side, err
 			}

@@ -157,7 +157,7 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 	// the main goroutine between observable phases instead.
 	classes := homedClasses(t, f, 3)
 	for i, class := range classes {
-		if _, err := f.Submit(testSource(t, class, int64(i+1), 16), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(serve.SubmitRequest{Source: testSource(t, class, int64(i+1), 16), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +185,7 @@ func TestExporterReconcilesWithFleet(t *testing.T) {
 	}
 	grown := homedClasses(t, f, 4)
 	for i, class := range grown[3:] {
-		if _, err := f.Submit(testSource(t, class, int64(10+i), 32), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(serve.SubmitRequest{Source: testSource(t, class, int64(10+i), 32), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,7 +270,7 @@ func TestExporterBoundsClassCardinality(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := f.Submit(testSource(t, fmt.Sprintf("flood-%d", i), int64(i+1), 4), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(serve.SubmitRequest{Source: testSource(t, fmt.Sprintf("flood-%d", i), int64(i+1), 4), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,7 +361,7 @@ func TestExporterAgentLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fleet.Submit(testSource(t, "brain", 1, 8), testSessionConfig()); err != nil {
+	if _, err := fleet.SubmitWith(serve.SubmitRequest{Source: testSource(t, "brain", 1, 8), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
 	fleet.Close()

@@ -29,22 +29,25 @@ func classHomedOn(t *testing.T, f *Fleet, shard int) string {
 // same source must reproduce bit for bit.
 func soloDigests(t *testing.T, class string, seed int64, frames int) []uint64 {
 	t.Helper()
-	srv, err := core.NewServer(core.ServerConfig{Platform: mpsoc.XeonE5_2667V4(), FPS: 24})
+	var digests []uint64
+	srv, err := core.NewServer(core.ServerConfig{
+		Platform: mpsoc.XeonE5_2667V4(),
+		FPS:      24,
+		OnRound: func(out *core.GOPOutcome) {
+			if gop := out.GOPs[0]; gop != nil {
+				digests = append(digests, gop.Digest)
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Submit(testSource(t, class, seed, frames), testSessionConfig()); err != nil {
 		t.Fatal(err)
 	}
-	outs, err := srv.ServeAll(64)
-	if err != nil {
+	srv.Close()
+	if _, err := srv.Run(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-	var digests []uint64
-	for _, out := range outs {
-		if gop := out.GOPs[0]; gop != nil {
-			digests = append(digests, gop.Digest)
-		}
 	}
 	return digests
 }
@@ -123,7 +126,7 @@ func TestFleetElasticChurn(t *testing.T) {
 	// resizes.
 	classes := classesPerShard(t, f)
 	for i, class := range classes {
-		if _, err := f.Submit(testSource(t, class, int64(i+1), 24), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 24), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +151,7 @@ func TestFleetElasticChurn(t *testing.T) {
 	// the shrink will remove.
 	victimClass := classHomedOn(t, f, 3)
 	const victimFrames = 32
-	p, err := f.Submit(testSource(t, victimClass, 7, victimFrames), testSessionConfig())
+	p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, victimClass, 7, victimFrames), Config: testSessionConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +249,7 @@ func TestResizeDrainsHomeShardDuringChurn(t *testing.T) {
 	}
 	class := classHomedOn(t, f, 2) // homed on the shard the shrink removes
 	for j := 0; j < 2; j++ {
-		if p, err := f.Submit(testSource(t, class, int64(j+1), 16), testSessionConfig()); err != nil {
+		if p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(j+1), 16), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		} else if p.Shard != 2 {
 			t.Fatalf("session routed to shard %d, want home 2", p.Shard)
@@ -276,7 +279,7 @@ func TestResizeDrainsHomeShardDuringChurn(t *testing.T) {
 	}
 	// A post-shrink arrival of the same class routes to the new home —
 	// never to the removed shard.
-	late, err := f.Submit(testSource(t, class, 3, 8), testSessionConfig())
+	late, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, 3, 8), Config: testSessionConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +322,7 @@ func TestResizeUpThenImmediatelyDown(t *testing.T) {
 	}
 	classes := classesPerShard(t, f)
 	for i, class := range classes {
-		if _, err := f.Submit(testSource(t, class, int64(i+1), 16), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 16), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -357,6 +360,44 @@ func TestResizeUpThenImmediatelyDown(t *testing.T) {
 	}
 }
 
+// TestDrainWithoutAdopterReportsErrors: a draining shard whose sessions
+// find no shard to adopt them — its only peer was given up while the
+// drain was in flight — dead-letters them as failed, and the shard report
+// carries each failure's error, not just its id.
+func TestDrainWithoutAdopterReportsErrors(t *testing.T) {
+	f, err := New(WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := classesPerShard(t, f)
+	p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, classes[1], 1, 8), Config: testSessionConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Shard != 1 {
+		t.Fatalf("session placed on shard %d, want its home shard 1", p.Shard)
+	}
+	// The state a Resize(1) reaches when shard 0's supervisor gives it up
+	// just after shard 1 was marked for removal.
+	f.mu.Lock()
+	f.shards[0].dead = true
+	victim := f.shards[1]
+	victim.draining = true
+	f.mu.Unlock()
+	victim.srv.Close()
+	victim.srv.Drain()
+	sr := ShardReport{Shard: 1}
+	f.finishDrain(victim, &sr, nil)
+
+	rep := sr.Report
+	if fmt.Sprint(rep.Failed) != fmt.Sprint([]int{p.Session.ID}) || len(rep.Migrated) != 0 {
+		t.Fatalf("drained shard failed %v migrated %v, want the unadopted session failed", rep.Failed, rep.Migrated)
+	}
+	if len(rep.Errors) != len(rep.Failed) || rep.Errors[p.Session.ID] == nil {
+		t.Fatalf("drained shard Errors %v for Failed %v", rep.Errors, rep.Failed)
+	}
+}
+
 // TestResizeIdleFleet: resizing between runs — grow, shrink with queued
 // sessions, then serve — migrates the queued sessions inline and loses
 // nothing. Loads reports gone shards as Alive=false zero reports.
@@ -366,10 +407,10 @@ func TestResizeIdleFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	classes := classesPerShard(t, f)
-	if _, err := f.Submit(testSource(t, classes[0], 1, 8), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, classes[0], 1, 8), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Submit(testSource(t, classes[1], 2, 8), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, classes[1], 2, 8), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
 	loads := f.Loads()

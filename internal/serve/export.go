@@ -47,13 +47,13 @@ func WithCheckpoint(every int, fn func(shard int, wires []*core.SessionWire)) Op
 // the donor is not a shard of this fleet, and the JSONL sink's
 // "session_migrated" with from_shard -1 is exactly how a cross-process
 // re-import is distinguished from an in-fleet move. Safe from any
-// goroutine, like Submit.
+// goroutine, like SubmitWith.
 func (f *Fleet) Import(snap *core.SessionSnapshot) (Placement, error) {
 	if snap == nil || snap.Session == nil {
 		return Placement{}, errors.New("serve: import of nil snapshot")
 	}
 	var lastErr error
-	for _, ti := range f.routeOrder(f.HomeShard(snap.Class)) {
+	for _, ti := range f.placeOrder(f.HomeShard(snap.Class), 0) {
 		sess, err := f.shardAt(ti).srv.Import(snap)
 		if err != nil {
 			lastErr = err
@@ -89,7 +89,7 @@ func (f *Fleet) Import(snap *core.SessionSnapshot) (Placement, error) {
 // once; it never fires if the shard serves no further round (an idle
 // shard settles no rounds), so callers waiting on a reply channel must
 // time out. Fails for a shard that is not routable.
-func (f *Fleet) OnNextRound(shard int, fn func(core.Shard)) error {
+func (f *Fleet) OnNextRound(shard int, fn func(*core.Server)) error {
 	if fn == nil {
 		return errors.New("serve: nil round callback")
 	}

@@ -14,7 +14,7 @@ import (
 // handoff, minus the drain: when a shard's demand-normalized utilization
 // (core.LoadReport) exceeds the fleet mean by a configurable factor for K
 // consecutive rounds, it hands sessions to less-utilized peers through the
-// narrow core.Shard.ExportSession path, right after its round settles —
+// shard server's ExportSession path, right after its round settles —
 // the one moment every session on the shard sits at a GOP boundary with no
 // encode in flight, and the one goroutine allowed to touch them is the
 // very one running the check. Sessions are picked by how well their core

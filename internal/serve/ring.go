@@ -125,7 +125,7 @@ func (r *hashRing) shardFor(key string) int {
 // — good for LUT warmth, blind to weight: a 4K class whose arc lands on a
 // 4-core shard would pile demand it can never serve while a 32-core peer
 // idles. WithDemandPlacement adds the capability/demand-aware layer on
-// top: Submit prices the session's pixel rate into an estimated core
+// top: SubmitWith prices the session's pixel rate into an estimated core
 // demand (through sched.DemandOf, the same Algorithm-2 line 1 the
 // allocator applies after admission) and places it by that demand against
 // every shard's LoadReport — home first if the session fits there,
@@ -149,7 +149,7 @@ type PlacementConfig struct {
 	PixelsPerCore float64
 }
 
-// WithDemandPlacement turns on demand-aware placement: Submit estimates
+// WithDemandPlacement turns on demand-aware placement: SubmitWith estimates
 // each arriving session's core demand from its pixel rate and steers it
 // to a shard with the capacity to serve it (see the package notes above),
 // seeding the shard's LoadReport with the estimate so back-to-back
@@ -199,7 +199,7 @@ func (f *Fleet) estimateDemand(src core.FrameSource) int {
 	return demand[0]
 }
 
-// placeOrder returns the shard indices Submit tries for a session whose
+// placeOrder returns the shard indices SubmitWith tries for a session whose
 // class homes on home, carrying an estimated core demand (0 = no
 // estimate, the demand-blind path). The home shard leads while it is
 // routable, under the session capacity, and — when a demand estimate

@@ -206,7 +206,7 @@ func WithMetrics(s Sink) Option {
 
 // WithRoundHook invokes fn after every settled shard round (after the
 // sink saw the round's events), from that shard's serving goroutine. The
-// hook may Submit sessions or Close the fleet — it is how churn-driven
+// hook may submit sessions or Close the fleet — it is how churn-driven
 // callers feed arrivals — but must not call serving methods.
 func WithRoundHook(fn func(shard int, out *core.GOPOutcome)) Option {
 	return func(o *options) { o.roundHook = fn }
@@ -237,10 +237,10 @@ func WithMaxRestarts(n int) Option {
 }
 
 // Fleet is the multi-shard serving front door. Build with New, feed with
-// Submit, drive with Run, scale with Resize, stop with Close (drain) or
+// SubmitWith, drive with Run, scale with Resize, stop with Close (drain) or
 // context cancellation (abort).
 //
-// Concurrency: Submit, Close, Resize, Load, Loads, Shards, HomeShard and
+// Concurrency: SubmitWith, Close, Resize, Load, Loads, Shards, HomeShard and
 // SaveLUTs are safe from any goroutine; Run must be called once at a
 // time. Resize must not be called from a round hook or a sink — a shard
 // being drained cannot wait for its own serving goroutine; give the
@@ -306,7 +306,7 @@ type Fleet struct {
 // are guarded by Fleet.mu.
 type shardState struct {
 	index int
-	srv   core.Shard
+	srv   *core.Server
 	// dead: the supervisor gave the shard up; routing skips it.
 	dead bool
 	// draining: a Resize is removing the shard; routing skips it, its
@@ -323,7 +323,7 @@ type shardState struct {
 	// pending holds callbacks scheduled by Fleet.OnNextRound, drained on
 	// the shard's serving goroutine at the next round boundary — the safe
 	// point for ExportSession/CheckpointSessions (guarded by Fleet.mu).
-	pending []func(core.Shard)
+	pending []func(*core.Server)
 }
 
 // New validates the options and builds the fleet's shards.
@@ -578,8 +578,8 @@ type Placement struct {
 // door: the video source, its session configuration, and the QoS
 // identity — which tenant the session bills to and what priority class
 // it competes at. The zero values mean "the default tenant, best
-// effort", so SubmitRequest{Source: src, Config: cfg} is exactly the
-// old two-argument Submit.
+// effort", so SubmitRequest{Source: src, Config: cfg} submits under the
+// default tenant at best-effort priority.
 type SubmitRequest struct {
 	// Source is the session's frame source (required).
 	Source core.FrameSource
@@ -594,17 +594,6 @@ type SubmitRequest struct {
 	// admits first and preempts lower classes under overload). With
 	// WithTenancy, 0 is resolved to the tenant's registered default.
 	Priority int
-}
-
-// Submit routes a session to its class's home shard for the default
-// tenant at best-effort priority — the historical two-argument front
-// door, kept for callers that predate multi-tenant QoS.
-//
-// Deprecated: use SubmitWith, which carries the tenant id and priority
-// class in a SubmitRequest. Submit(src, cfg) is exactly
-// SubmitWith(SubmitRequest{Source: src, Config: cfg}).
-func (f *Fleet) Submit(src core.FrameSource, cfg core.SessionConfig) (Placement, error) {
-	return f.SubmitWith(SubmitRequest{Source: src, Config: cfg})
 }
 
 // SubmitWith routes a session to its class's home shard, falling back to
@@ -675,15 +664,7 @@ func (f *Fleet) shardAt(i int) *shardState {
 	return f.shards[i]
 }
 
-// routeOrder returns the shard indices to try for a session with no
-// demand estimate: the home shard first — unless it is unroutable or at
-// capacity — then the remaining routable shards in ascending
-// (utilization, sessions, index) order.
-func (f *Fleet) routeOrder(home int) []int {
-	return f.placeOrder(home, 0)
-}
-
-// Close closes every shard's arrival queue: no further Submit succeeds
+// Close closes every shard's arrival queue: no further SubmitWith succeeds
 // and Run returns once the submitted sessions drain. Shards added by a
 // later Resize are born closed. Safe to call from any goroutine, more
 // than once.
@@ -701,8 +682,7 @@ func (f *Fleet) Close() {
 type ShardReport struct {
 	Shard int
 	// Report merges the shard's service reports across restarts: counters
-	// and outcomes accumulate; the terminal-state lists are the final
-	// snapshot.
+	// accumulate; the terminal-state lists are the final snapshot.
 	Report *core.ServiceReport
 	// Restarts counts serving-loop restarts the supervisor performed.
 	Restarts int
@@ -918,9 +898,9 @@ func (f *Fleet) supervise(ctx context.Context, s *shardState) ShardReport {
 				sr.Aborted = ids
 			}
 			// The abort flipped queued sessions to failed after the last
-			// report snapshot; refresh the terminal lists from the live
-			// states so the shard report tells the truth.
-			refreshStates(&sr, s.srv)
+			// report snapshot; re-snapshot so the shard report tells the
+			// truth, errors included.
+			sr.Report = s.srv.Finalize(sr.Report)
 			return sr
 		}
 	}
@@ -981,7 +961,7 @@ func (f *Fleet) finishDrain(s *shardState, sr *ShardReport, ctx context.Context)
 	targets := make(map[int]bool)
 	for _, snap := range snaps {
 		placed := false
-		for _, ti := range f.routeOrder(f.HomeShard(snap.Class)) {
+		for _, ti := range f.placeOrder(f.HomeShard(snap.Class), 0) {
 			if ti == s.index {
 				continue
 			}
@@ -1023,9 +1003,10 @@ func (f *Fleet) finishDrain(s *shardState, sr *ShardReport, ctx context.Context)
 	live := f.liveCountLocked()
 	f.mu.Unlock()
 
-	// Export and failure happened after the drained Run's finalize;
-	// refresh the terminal lists so the shard report tells the truth.
-	refreshStates(sr, s.srv)
+	// Export and failure happened after the drained Run's snapshot;
+	// re-snapshot so the shard report tells the truth (a shard drained
+	// before it ever ran has no report yet).
+	sr.Report = s.srv.Finalize(sr.Report)
 	f.dispatchShardRemoved(ShardEvent{Shard: s.index, Live: live})
 	f.markRemoved(s)
 }
@@ -1155,8 +1136,8 @@ func (f *Fleet) Resize(n int) error {
 }
 
 // mergeServiceReport folds one Run's report into the shard report:
-// counters and outcomes accumulate across restarts, the terminal-state
-// snapshot is replaced by the newer one.
+// counters accumulate across restarts, the terminal-state snapshot is
+// replaced by the newer one.
 func mergeServiceReport(sr *ShardReport, rep *core.ServiceReport) {
 	if rep == nil {
 		return
@@ -1169,7 +1150,6 @@ func mergeServiceReport(sr *ShardReport, rep *core.ServiceReport) {
 	dst.Rounds += rep.Rounds
 	dst.FramesEncoded += rep.FramesEncoded
 	dst.GOPReports += rep.GOPReports
-	dst.Outcomes = append(dst.Outcomes, rep.Outcomes...)
 	addTotals(&dst.Energy, rep.Energy)
 	dst.Submitted = rep.Submitted
 	dst.Imported = rep.Imported
@@ -1178,37 +1158,6 @@ func mergeServiceReport(sr *ShardReport, rep *core.ServiceReport) {
 	dst.Failed = rep.Failed
 	dst.Migrated = rep.Migrated
 	dst.Errors = rep.Errors
-}
-
-// refreshStates re-derives the session counts and terminal-state lists
-// from the shard's live session states (after an Abort or a migration,
-// both of which land after the last Run's finalize — or on a shard that
-// was drained before it ever ran).
-func refreshStates(sr *ShardReport, srv core.Shard) {
-	if sr.Report == nil {
-		sr.Report = &core.ServiceReport{}
-	}
-	rep := sr.Report
-	rep.Completed, rep.Rejected, rep.Failed, rep.Migrated = nil, nil, nil, nil
-	rep.Submitted = 0
-	rep.Imported = srv.Imported()
-	for id := 0; ; id++ {
-		st, ok := srv.StateOf(id)
-		if !ok {
-			break
-		}
-		rep.Submitted++
-		switch st {
-		case core.StateCompleted:
-			rep.Completed = append(rep.Completed, id)
-		case core.StateRejected:
-			rep.Rejected = append(rep.Rejected, id)
-		case core.StateFailed:
-			rep.Failed = append(rep.Failed, id)
-		case core.StateMigrated:
-			rep.Migrated = append(rep.Migrated, id)
-		}
-	}
 }
 
 // addTotals folds one mpsoc.Totals into another.

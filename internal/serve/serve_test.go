@@ -80,7 +80,7 @@ func TestFleetRoutesByClassAndCompletes(t *testing.T) {
 	perShard := make([]int, 3)
 	for i, class := range classes {
 		for j := 0; j < 2; j++ {
-			p, err := f.Submit(testSource(t, class, int64(i*10+j+1), 8), testSessionConfig())
+			p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i*10+j+1), 8), Config: testSessionConfig()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,10 +122,10 @@ func TestLeastLoadedFallback(t *testing.T) {
 	classes := classesPerShard(t, f)
 	class := classes[0]
 	// Pre-load shard 2 so the fallback has a load gradient to follow.
-	if _, err := f.Submit(testSource(t, classes[2], 77, 8), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, classes[2], 77, 8), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
-	first, err := f.Submit(testSource(t, class, 1, 8), testSessionConfig())
+	first, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, 1, 8), Config: testSessionConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestLeastLoadedFallback(t *testing.T) {
 		t.Fatalf("first session of class %q on shard %d, want home 0", class, first.Shard)
 	}
 	// Home shard 0 is at capacity; shard 1 is empty, shard 2 holds one.
-	second, err := f.Submit(testSource(t, class, 2, 8), testSessionConfig())
+	second, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, 2, 8), Config: testSessionConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestFleetSubmitRefusedEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := f.Submit(testSource(t, "any", 1, 4), testSessionConfig()); err == nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "any", 1, 4), Config: testSessionConfig()}); err == nil {
 		t.Fatal("Submit succeeded on a closed fleet")
 	}
 }
@@ -251,7 +251,7 @@ func TestShardCrashIsolation(t *testing.T) {
 	perShard := make([]int, 3)
 	for i, class := range classes {
 		for j := 0; j < 2; j++ {
-			p, err := f.Submit(testSource(t, class, int64(i*10+j+1), 8), testSessionConfig())
+			p, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i*10+j+1), 8), Config: testSessionConfig()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,6 +271,15 @@ func TestShardCrashIsolation(t *testing.T) {
 	}
 	if len(dead.Aborted) != perShard[1] || len(dead.Report.Failed) != perShard[1] {
 		t.Fatalf("dead shard aborted %v failed %v, want %d sessions", dead.Aborted, dead.Report.Failed, perShard[1])
+	}
+	// Every failed session carries its error in the shard report.
+	if len(dead.Report.Errors) != len(dead.Report.Failed) {
+		t.Fatalf("dead shard Errors %v for Failed %v", dead.Report.Errors, dead.Report.Failed)
+	}
+	for _, id := range dead.Report.Failed {
+		if !errors.Is(dead.Report.Errors[id], boom) {
+			t.Fatalf("dead shard session %d error %v, want the allocator failure", id, dead.Report.Errors[id])
+		}
 	}
 
 	// The survivors: every session completed, zero lost GOP reports.
@@ -329,7 +338,7 @@ func TestShardRestartRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 2; j++ {
-		if _, err := f.Submit(testSource(t, "warm", int64(j+1), 8), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "warm", int64(j+1), 8), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -357,7 +366,7 @@ func TestFleetCancellation(t *testing.T) {
 	}
 	classes := classesPerShard(t, f)
 	for i, class := range classes {
-		if _, err := f.Submit(testSource(t, class, int64(i+1), 16), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 16), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -383,11 +392,13 @@ func driftModel() func(codec.TileStats) time.Duration {
 	}
 }
 
-// churnDirect runs the PR 2 churn acceptance scenario on a bare
-// core.Server and returns its ServiceReport — the old API's ground truth.
-func churnDirect(t *testing.T) *core.ServiceReport {
+// churnDirect runs the churn acceptance scenario on a bare core.Server
+// and returns its ServiceReport plus the rounds its OnRound hook saw —
+// the single-server ground truth.
+func churnDirect(t *testing.T) (*core.ServiceReport, []*core.GOPOutcome) {
 	t.Helper()
 	var srv *core.Server
+	var outs []*core.GOPOutcome
 	motions := []medgen.MotionKind{medgen.Rotate, medgen.Pan, medgen.Sweep, medgen.Still}
 	submitted := 0
 	submit := func() {
@@ -418,6 +429,7 @@ func churnDirect(t *testing.T) *core.ServiceReport {
 		FPS:         24,
 		Calibration: core.CalibrationConfig{Enabled: true, Alpha: 0.6},
 		OnRound: func(out *core.GOPOutcome) {
+			outs = append(outs, out)
 			switch out.Round {
 			case 0:
 				submit()
@@ -436,15 +448,16 @@ func churnDirect(t *testing.T) *core.ServiceReport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	return rep, outs
 }
 
-// TestRingSinkMatchesServiceReport is the redesign's compatibility
-// criterion: on the existing churn scenario, a single-shard fleet with a
-// ring-buffer sink reconstructs exactly the ServiceReport the old API
-// produced — nothing the old report could tell you is lost.
+// TestRingSinkMatchesServiceReport is the sink's compatibility criterion:
+// on the churn scenario, a single-shard fleet with a ring-buffer sink
+// reconstructs exactly the ServiceReport a bare server's Run returns, and
+// its retained rounds are exactly the rounds the server's OnRound hook
+// saw — nothing the server could tell you is lost.
 func TestRingSinkMatchesServiceReport(t *testing.T) {
-	want := churnDirect(t)
+	want, wantOuts := churnDirect(t)
 
 	sink := NewRingSink(64)
 	var f *Fleet
@@ -467,7 +480,7 @@ func TestRingSinkMatchesServiceReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Submit(src, cfg); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: src, Config: cfg}); err != nil {
 			t.Fatal(err)
 		}
 		submitted++
@@ -515,11 +528,12 @@ func TestRingSinkMatchesServiceReport(t *testing.T) {
 	if got.Energy != want.Energy {
 		t.Fatalf("energy totals %+v, want %+v", got.Energy, want.Energy)
 	}
-	if len(got.Outcomes) != len(want.Outcomes) {
-		t.Fatalf("%d outcomes, want %d", len(got.Outcomes), len(want.Outcomes))
+	gotOuts := sink.Outcomes(0)
+	if len(gotOuts) != len(wantOuts) {
+		t.Fatalf("%d outcomes, want %d", len(gotOuts), len(wantOuts))
 	}
-	for r := range got.Outcomes {
-		g, w := got.Outcomes[r], want.Outcomes[r]
+	for r := range gotOuts {
+		g, w := gotOuts[r], wantOuts[r]
 		if g.Round != w.Round || g.EstimateErr != w.EstimateErr || g.EstimateTiles != w.EstimateTiles {
 			t.Fatalf("round %d metrics differ: %+v vs %+v", r, g, w)
 		}
@@ -529,8 +543,8 @@ func TestRingSinkMatchesServiceReport(t *testing.T) {
 			}
 		}
 	}
-	ge, gt := got.MeanEstimateErr(3)
-	we, wt := want.MeanEstimateErr(3)
+	ge, gt := core.MeanEstimateErr(gotOuts, 3)
+	we, wt := core.MeanEstimateErr(wantOuts, 3)
 	if ge != we || gt != wt {
 		t.Fatalf("MeanEstimateErr (%v,%d), want (%v,%d)", ge, gt, we, wt)
 	}
@@ -544,7 +558,7 @@ func TestRingSinkBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Submit(testSource(t, "c", 1, 16), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "c", 1, 16), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -555,12 +569,13 @@ func TestRingSinkBounded(t *testing.T) {
 	if rep.Rounds != 4 || rep.GOPReports != 4 || rep.FramesEncoded != 16 {
 		t.Fatalf("aggregates %d/%d/%d, want 4 rounds, 4 GOPs, 16 frames", rep.Rounds, rep.GOPReports, rep.FramesEncoded)
 	}
-	if len(rep.Outcomes) != 2 || sink.Dropped() != 2 {
-		t.Fatalf("ring kept %d outcomes (dropped %d), want the last 2", len(rep.Outcomes), sink.Dropped())
+	outs := sink.Outcomes(0)
+	if len(outs) != 2 || sink.Dropped() != 2 {
+		t.Fatalf("ring kept %d outcomes (dropped %d), want the last 2", len(outs), sink.Dropped())
 	}
-	if rep.Outcomes[0].Round != 2 || rep.Outcomes[1].Round != 3 {
+	if outs[0].Round != 2 || outs[1].Round != 3 {
 		t.Fatalf("ring outcomes are rounds %d,%d — want the most recent 2,3",
-			rep.Outcomes[0].Round, rep.Outcomes[1].Round)
+			outs[0].Round, outs[1].Round)
 	}
 }
 
@@ -575,7 +590,7 @@ func TestFleetLUTPersistence(t *testing.T) {
 	}
 	classes := classesPerShard(t, f)
 	for i, class := range classes {
-		if _, err := f.Submit(testSource(t, class, int64(i+1), 8), testSessionConfig()); err != nil {
+		if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, class, int64(i+1), 8), Config: testSessionConfig()}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -40,7 +40,7 @@ type RoundEvent struct {
 	Load core.LoadReport
 }
 
-// PlacementEvent reports where Submit routed one session — the
+// PlacementEvent reports where SubmitWith routed one session — the
 // demand-aware placement decision (DESIGN.md §11). Delivered from the
 // submitting goroutine right after the session's StateQueued event.
 type PlacementEvent struct {
@@ -109,11 +109,11 @@ type MigrationEvent struct {
 // with the terminal transition during the final round's settlement.
 // Events of different shards interleave arbitrarily. The
 // cross-goroutine events are StateQueued and OnSessionPlaced, delivered
-// in that order from the goroutine that called Submit before Submit
+// in that order from the goroutine that called SubmitWith before it
 // returns — in practice StateQueued precedes
 // the session's first OnGOP (a submission is first served on a later
 // round), but that ordering is not synchronized. Sink methods must not
-// call back into the fleet: Submit would re-enter the sink dispatch lock
+// call back into the fleet: SubmitWith would re-enter the sink dispatch lock
 // on the same goroutine (self-deadlock), and serving methods are off
 // limits as everywhere. Close is the one permitted call. Churn-driven
 // callers inject arrivals through WithRoundHook, which runs after the
@@ -216,13 +216,13 @@ func (m multiSink) OnSessionRebalanced(e MigrationEvent) {
 // RingSink is the bounded-memory replacement for ServiceReport: it keeps
 // exact aggregate counters (rounds, frames, GOP reports, energy totals,
 // terminal states) forever and the most recent Capacity round outcomes in
-// a ring buffer. When the service fits inside the ring — as every test
-// scenario does — Report reconstructs the old ServiceReport exactly; on a
-// long-running fleet the aggregates stay exact while memory stays
-// bounded.
+// a ring buffer. Report reconstructs a Run's ServiceReport exactly, and
+// when the service fits inside the ring — as every test scenario does —
+// Outcomes holds every round it served; on a long-running fleet the
+// aggregates stay exact while memory stays bounded.
 //
 // Safe for concurrent use: the On* path is serialized by the fleet, and
-// Report may be called from any goroutine at any time.
+// Report and Outcomes may be called from any goroutine at any time.
 type RingSink struct {
 	mu sync.Mutex
 
@@ -372,7 +372,7 @@ func (s *RingSink) Rebalances() int {
 }
 
 // Placements reports how many session-placement decisions the sink saw
-// (one per successful Submit).
+// (one per successful SubmitWith).
 func (s *RingSink) Placements() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -407,8 +407,8 @@ func (s *RingSink) Dropped() int {
 }
 
 // Report reconstructs a ServiceReport from the retained telemetry:
-// aggregates are exact for the whole service lifetime; Outcomes holds the
-// rounds still in the ring (all of them when the service fit). Session
+// aggregates and session states are exact for the whole service lifetime
+// (the rounds themselves are in Outcomes). Session
 // ids are shard-local — on a multi-shard fleet two shards both have a
 // session 0 — so the id lists are only meaningful per shard; pass the
 // shard index to scope the report, or -1 for the fleet-wide view of a
@@ -456,24 +456,28 @@ func (s *RingSink) Report(shard int) *core.ServiceReport {
 			rep.Errors[k[1]] = s.errs[k]
 		}
 	}
-	// Ring contents in arrival order (oldest first).
-	for _, entry := range s.ringOrderLocked() {
-		rep.Outcomes = append(rep.Outcomes, entry.outcome)
-	}
 	return rep
 }
 
-// ringOrderLocked returns the retained ring entries oldest-first. Caller
-// holds s.mu.
-func (s *RingSink) ringOrderLocked() []ringEntry {
-	if s.total <= s.capacity {
-		return s.outcomes
+// Outcomes returns the round outcomes still in the ring, oldest first:
+// the settled rounds of one shard, or of every shard for -1 (all of them
+// when the service fit — see Dropped). This is the round history; the
+// reports carry only aggregates and session states.
+func (s *RingSink) Outcomes(shard int) []*core.GOPOutcome {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	start := 0
+	if s.total > s.capacity {
+		start = s.next
 	}
-	ordered := make([]ringEntry, 0, s.capacity)
-	for i := 0; i < s.capacity; i++ {
-		ordered = append(ordered, s.outcomes[(s.next+i)%s.capacity])
+	var outs []*core.GOPOutcome
+	for i := range s.outcomes {
+		e := s.outcomes[(start+i)%len(s.outcomes)]
+		if shard < 0 || e.shard == shard {
+			outs = append(outs, e.outcome)
+		}
 	}
-	return ordered
+	return outs
 }
 
 // FleetReport is the collision-free multi-shard answer to Report(-1):
@@ -485,7 +489,7 @@ func (s *RingSink) ringOrderLocked() []ringEntry {
 // aggregates at the fleet level.
 type FleetReport struct {
 	// Shards maps shard index → that shard's scoped ServiceReport (ids,
-	// errors, counters and retained round outcomes all shard-local).
+	// errors and counters all shard-local).
 	// Only shards the sink saw telemetry from appear.
 	Shards map[int]*core.ServiceReport
 
@@ -567,10 +571,6 @@ func (s *RingSink) FleetReport() *FleetReport {
 			rep.Errors[k[1]] = s.errs[k]
 			fleet.Failed++
 		}
-	}
-	for _, entry := range s.ringOrderLocked() {
-		rep := sub(entry.shard)
-		rep.Outcomes = append(rep.Outcomes, entry.outcome)
 	}
 	return fleet
 }

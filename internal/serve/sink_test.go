@@ -22,7 +22,7 @@ func TestJSONLSinkStreamsParseableEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Submit(testSource(t, "stream", 1, 8), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "stream", 1, 8), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -161,7 +161,7 @@ func TestBufferedJSONLSinkServesFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Submit(testSource(t, "buffered", 1, 8), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "buffered", 1, 8), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -256,8 +256,8 @@ func TestFleetReportKeepsCollidingSessionIDsDistinct(t *testing.T) {
 		t.Fatalf("deadline misses s0=%d s1=%d, want 1/2",
 			s0.Energy.DeadlineMisses, s1.Energy.DeadlineMisses)
 	}
-	if len(s0.Outcomes) != 1 || len(s1.Outcomes) != 2 {
-		t.Fatalf("retained outcomes s0=%d s1=%d, want 1/2", len(s0.Outcomes), len(s1.Outcomes))
+	if o0, o1, all := sink.Outcomes(0), sink.Outcomes(1), sink.Outcomes(-1); len(o0) != 1 || len(o1) != 2 || len(all) != 3 {
+		t.Fatalf("retained outcomes s0=%d s1=%d all=%d, want 1/2/3", len(o0), len(o1), len(all))
 	}
 
 	// Report(shard) keeps its documented behavior: shard-scoped id lists,
@@ -280,7 +280,7 @@ func TestMultiSinkFansOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Submit(testSource(t, "fan", 1, 4), testSessionConfig()); err != nil {
+	if _, err := f.SubmitWith(SubmitRequest{Source: testSource(t, "fan", 1, 4), Config: testSessionConfig()}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
