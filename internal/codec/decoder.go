@@ -163,16 +163,27 @@ func (d *Decoder) decodeResidual(r *entropy.BitReader, quant *transform.Quantize
 			if err := entropy.DecodeCoeffBlock(r, n, coeffs); err != nil {
 				return err
 			}
-			if err := quant.Dequantize(coeffs, coeffs); err != nil {
-				return err
-			}
-			if err := transform.Inverse(n, coeffs, coeffs); err != nil {
-				return err
+			// An all-zero block reconstructs as the prediction: its
+			// dequantized inverse transform is exactly zero.
+			zero := allZero(coeffs)
+			if !zero {
+				if err := quant.Dequantize(coeffs, coeffs); err != nil {
+					return err
+				}
+				if err := transform.Inverse(n, coeffs, coeffs); err != nil {
+					return err
+				}
 			}
 			for y := 0; y < vh; y++ {
 				rrow := recon.Pix[(by+sy+y)*recon.Stride+bx+sx : (by+sy+y)*recon.Stride+bx+sx+vw]
-				for x := 0; x < vw; x++ {
-					rrow[x] = video.ClampU8(int(pred[(sy+y)*bw+sx+x]) + int(coeffs[y*n+x]))
+				prow := pred[(sy+y)*bw+sx:][:len(rrow)]
+				if zero {
+					copy(rrow, prow)
+					continue
+				}
+				dres := coeffs[y*n:][:len(rrow)]
+				for x, p := range prow {
+					rrow[x] = video.ClampU8(int(p) + int(dres[x]))
 				}
 			}
 		}

@@ -302,7 +302,9 @@ type tileCoder struct {
 	ref   *video.Plane // full-frame reference luma (nil for I-frames)
 	ftype FrameType
 	quant *transform.Quantizer
-	stats TileStats
+	// zeroBound is the sub-block early-skip bound (skipSADThreshold).
+	zeroBound int64
+	stats     TileStats
 	// lastMV is the motion-vector predictor (previous coded inter block in
 	// the tile, raster order), mirrored exactly by the decoder.
 	lastMV motion.MV
@@ -327,7 +329,7 @@ func newTileCoder(cfg Config, p TileParams, tile tiling.Tile, src, recon, ref *v
 	t := tileCoderPool.Get().(*tileCoder)
 	pred, tmp, coeffs, res := t.pred, t.tmp, t.coeffs, t.res
 	*t = tileCoder{cfg: cfg, p: p, tile: tile, src: src, recon: recon, ref: ref, ftype: ftype, quant: q,
-		pred: pred, tmp: tmp, coeffs: coeffs, res: res}
+		zeroBound: skipSADThreshold(cfg.TransformSize, q), pred: pred, tmp: tmp, coeffs: coeffs, res: res}
 	t.sizeScratch()
 	return t, nil
 }
@@ -429,8 +431,9 @@ func (t *tileCoder) bestIntra(bx, by, bw, bh int, pred []uint8) (int, int64) {
 		var cost int64
 		for y := 0; y < bh; y++ {
 			row := t.src.Pix[(by+y)*t.src.Stride+bx : (by+y)*t.src.Stride+bx+bw]
-			for x := 0; x < bw; x++ {
-				d := int(row[x]) - int(tmp[y*bw+x])
+			prow := tmp[y*bw:][:len(row)]
+			for x, v := range row {
+				d := int(v) - int(prow[x])
 				if d < 0 {
 					d = -d
 				}
@@ -475,9 +478,10 @@ func (t *tileCoder) intraAvailable(mode, bx, by int) bool {
 // ordinary empty block), so this is the standard encoder-side early-CBF
 // decision, and it is what makes well-predicted low-texture tiles cheap —
 // the content→CPU-time coupling the paper's workload allocation exploits.
+// A sub-block whose levels all quantize to zero skips dequantization and
+// the inverse transform, whose output would be exactly zero.
 func (t *tileCoder) codeResidual(w *entropy.BitWriter, bx, by, bw, bh int, pred []uint8) error {
 	n := t.cfg.TransformSize
-	zeroBound := skipSADThreshold(n, t.quant)
 	coeffs := t.coeffs[:n*n]
 	res := t.res[:n*n]
 	for sy := 0; sy < bh; sy += n {
@@ -485,35 +489,26 @@ func (t *tileCoder) codeResidual(w *entropy.BitWriter, bx, by, bw, bh int, pred 
 			vw := min(n, bw-sx)
 			vh := min(n, bh-sy)
 			// Gather residual, zero-padding outside the valid region.
-			for i := range res {
-				res[i] = 0
-			}
+			clear(res)
 			var sad int64
 			for y := 0; y < vh; y++ {
 				srow := t.src.Pix[(by+sy+y)*t.src.Stride+bx+sx : (by+sy+y)*t.src.Stride+bx+sx+vw]
-				for x := 0; x < vw; x++ {
-					d := int32(srow[x]) - int32(pred[(sy+y)*bw+sx+x])
-					res[y*n+x] = d
+				prow := pred[(sy+y)*bw+sx:][:len(srow)]
+				rrow := res[y*n:][:len(srow)]
+				for x, v := range srow {
+					d := int32(v) - int32(prow[x])
+					rrow[x] = d
 					if d < 0 {
 						d = -d
 					}
 					sad += int64(d)
 				}
 			}
-			if sad < zeroBound {
+			if sad < t.zeroBound {
 				// Early skip: write the empty block and reconstruct the
 				// prediction directly.
 				w.WriteUE(0)
-				for y := 0; y < vh; y++ {
-					rrow := t.recon.Pix[(by+sy+y)*t.recon.Stride+bx+sx : (by+sy+y)*t.recon.Stride+bx+sx+vw]
-					srow := t.src.Pix[(by+sy+y)*t.src.Stride+bx+sx : (by+sy+y)*t.src.Stride+bx+sx+vw]
-					for x := 0; x < vw; x++ {
-						v := pred[(sy+y)*bw+sx+x]
-						rrow[x] = v
-						d := int(srow[x]) - int(v)
-						t.stats.SSE += int64(d * d)
-					}
-				}
+				t.reconstruct(bx+sx, by+sy, vw, vh, pred[sy*bw+sx:], bw, nil)
 				t.stats.SkippedBlocks++
 				continue
 			}
@@ -526,26 +521,56 @@ func (t *tileCoder) codeResidual(w *entropy.BitWriter, bx, by, bw, bh int, pred 
 			if err := entropy.EncodeCoeffBlock(w, n, coeffs); err != nil {
 				return err
 			}
+			if allZero(coeffs) {
+				t.reconstruct(bx+sx, by+sy, vw, vh, pred[sy*bw+sx:], bw, nil)
+				continue
+			}
 			if err := t.quant.Dequantize(coeffs, coeffs); err != nil {
 				return err
 			}
 			if err := transform.Inverse(n, coeffs, res); err != nil {
 				return err
 			}
-			// Reconstruct and accumulate distortion over the valid region.
-			for y := 0; y < vh; y++ {
-				rrow := t.recon.Pix[(by+sy+y)*t.recon.Stride+bx+sx : (by+sy+y)*t.recon.Stride+bx+sx+vw]
-				srow := t.src.Pix[(by+sy+y)*t.src.Stride+bx+sx : (by+sy+y)*t.src.Stride+bx+sx+vw]
-				for x := 0; x < vw; x++ {
-					v := video.ClampU8(int(pred[(sy+y)*bw+sx+x]) + int(res[y*n+x]))
-					rrow[x] = v
-					d := int(srow[x]) - int(v)
-					t.stats.SSE += int64(d * d)
-				}
-			}
+			t.reconstruct(bx+sx, by+sy, vw, vh, pred[sy*bw+sx:], bw, res)
 		}
 	}
 	return nil
+}
+
+// reconstruct writes the vw×vh sub-block at (x0, y0) of the reconstruction
+// as prediction (row stride pstride) plus residual (row stride n; nil for
+// an all-zero residual) and accumulates its distortion.
+func (t *tileCoder) reconstruct(x0, y0, vw, vh int, pred []uint8, pstride int, res []int32) {
+	n := t.cfg.TransformSize
+	var sse int64
+	for y := 0; y < vh; y++ {
+		rrow := t.recon.Pix[(y0+y)*t.recon.Stride+x0 : (y0+y)*t.recon.Stride+x0+vw]
+		srow := t.src.Pix[(y0+y)*t.src.Stride+x0:][:len(rrow)]
+		prow := pred[y*pstride:][:len(rrow)]
+		if res == nil {
+			copy(rrow, prow)
+		} else {
+			dres := res[y*n:][:len(rrow)]
+			for x, p := range prow {
+				rrow[x] = video.ClampU8(int(p) + int(dres[x]))
+			}
+		}
+		for x, v := range rrow {
+			d := int(srow[x]) - int(v)
+			sse += int64(d * d)
+		}
+	}
+	t.stats.SSE += sse
+}
+
+// allZero reports whether every quantized level of a block is zero.
+func allZero(levels []int32) bool {
+	for _, l := range levels {
+		if l != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // intraPredict fills pred for the given mode from reconstructed neighbours

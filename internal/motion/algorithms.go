@@ -50,13 +50,14 @@ func (t TZSearch) Search(b Block, window int, pred MV) Result {
 	}
 	s := newSearchState(b, window)
 	s.seed(pred)
+	var pts [8]MV
 
 	// Zonal expanding diamond around the incumbent.
 	center := s.best
 	bestDist := 0
 	for dist := 1; dist <= window; dist *= 2 {
 		improved := false
-		for _, d := range diamondPoints(dist) {
+		for _, d := range diamondPoints(&pts, dist) {
 			if c := s.try(center.Add(d)); c == s.cost && s.best == center.Add(d) {
 				improved = true
 			}
@@ -81,7 +82,7 @@ func (t TZSearch) Search(b Block, window int, pred MV) Result {
 		center = s.best
 		improved := false
 		for dist := 1; dist <= thr; dist *= 2 {
-			for _, d := range diamondPoints(dist) {
+			for _, d := range diamondPoints(&pts, dist) {
 				s.try(center.Add(d))
 			}
 		}
@@ -95,19 +96,20 @@ func (t TZSearch) Search(b Block, window int, pred MV) Result {
 	return s.result()
 }
 
-// diamondPoints returns the 8-point diamond at the given distance.
-func diamondPoints(d int) []MV {
-	h := d / 2
-	if h == 0 {
-		h = 1
-	}
+// diamondPoints returns the 8-point diamond at the given distance (the
+// 4-point one at distance 1), built in buf so the search stays
+// allocation-free.
+func diamondPoints(buf *[8]MV, d int) []MV {
 	if d == 1 {
-		return []MV{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
+		*buf = [8]MV{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
+		return buf[:4]
 	}
-	return []MV{
+	h := d / 2
+	*buf = [8]MV{
 		{d, 0}, {-d, 0}, {0, d}, {0, -d},
 		{h, h}, {h, -h}, {-h, h}, {-h, -h},
 	}
+	return buf[:]
 }
 
 // ThreeStep is the classic three-step search (Li et al. 1994): evaluate the

@@ -8,6 +8,7 @@ package motion
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/video"
 )
@@ -93,8 +94,17 @@ type searchState struct {
 	seen   map[MV]int64
 }
 
+// statePool recycles search states together with their memo maps, so a
+// search allocates nothing once the pool is warm. A state comes from
+// newSearchState and goes back in result(); nothing may touch it after.
+var statePool = sync.Pool{New: func() any { return &searchState{seen: make(map[MV]int64, 64)} }}
+
 func newSearchState(b Block, window int) *searchState {
-	return &searchState{b: b, window: window, cost: 1 << 62, rawSAD: 1 << 62, seen: make(map[MV]int64, 64)}
+	s := statePool.Get().(*searchState)
+	seen := s.seen
+	clear(seen)
+	*s = searchState{b: b, window: window, cost: 1 << 62, rawSAD: 1 << 62, seen: seen}
+	return s
 }
 
 // mvPenalty is the rate term of candidate v.
@@ -133,7 +143,14 @@ func (s *searchState) try(v MV) int64 {
 	return c
 }
 
-func (s *searchState) result() Result { return Result{MV: s.best, Cost: s.rawSAD, Evals: s.evals} }
+// result reports the search outcome and returns s to statePool; the
+// caller must not use s afterwards.
+func (s *searchState) result() Result {
+	r := Result{MV: s.best, Cost: s.rawSAD, Evals: s.evals}
+	s.b = Block{} // pooled states must not pin frame planes
+	statePool.Put(s)
+	return r
+}
 
 // sad computes the sum of absolute differences between the current block
 // and the reference block displaced by v, aborting early once the partial
@@ -143,14 +160,16 @@ func sad(b Block, v MV, bestSoFar int64) int64 {
 	var sum int64
 	for y := 0; y < b.H; y++ {
 		cRow := b.Cur.Pix[(b.Y+y)*b.Cur.Stride+b.X : (b.Y+y)*b.Cur.Stride+b.X+b.W]
-		rRow := b.Ref.Pix[(ry+y)*b.Ref.Stride+rx : (ry+y)*b.Ref.Stride+rx+b.W]
-		for i := range cRow {
-			d := int(cRow[i]) - int(rRow[i])
+		rRow := b.Ref.Pix[(ry+y)*b.Ref.Stride+rx:][:len(cRow)]
+		var rowSum int
+		for i, c := range cRow {
+			d := int(c) - int(rRow[i])
 			if d < 0 {
 				d = -d
 			}
-			sum += int64(d)
+			rowSum += d
 		}
+		sum += int64(rowSum)
 		if sum >= bestSoFar {
 			return sum
 		}

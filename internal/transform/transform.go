@@ -22,26 +22,6 @@ const (
 	Size8 = 8
 )
 
-// m4 is the HEVC 4×4 core transform matrix.
-var m4 = [4][4]int32{
-	{64, 64, 64, 64},
-	{83, 36, -36, -83},
-	{64, -64, -64, 64},
-	{36, -83, 83, -36},
-}
-
-// m8 is the HEVC 8×8 core transform matrix.
-var m8 = [8][8]int32{
-	{64, 64, 64, 64, 64, 64, 64, 64},
-	{89, 75, 50, 18, -18, -50, -75, -89},
-	{83, 36, -36, -83, -83, -36, 36, 83},
-	{75, -18, -89, -50, 50, 89, 18, -75},
-	{64, -64, -64, 64, 64, -64, -64, 64},
-	{50, -89, 18, 75, -75, -18, 89, -50},
-	{36, -83, 83, -36, -36, 83, -83, 36},
-	{18, -50, 75, -89, 89, -75, 50, -18},
-}
-
 // forwardGain returns the end-to-end multiplicative gain of the forward
 // transform relative to an orthonormal DCT for block size n.
 func forwardGain(n int) float64 {
@@ -75,12 +55,17 @@ func Forward(n int, src, dst []int32) error {
 		return err
 	}
 	s1, s2 := shifts(n)
-	// Fixed-size stage scratch (n ≤ 8, so n*n ≤ 64): stays on the caller's
-	// stack, keeping the per-sub-block transform allocation-free.
-	var scratch [Size8 * Size8]int32
-	tmp := scratch[:n*n]
-	mulStage(n, src, tmp, s1, false) // rows: tmp = (M · srcᵀ-wise) per HEVC column pass
-	mulStage(n, tmp, dst, s2, false) // columns
+	// Fixed-size stage scratch stays on the caller's stack, keeping the
+	// per-sub-block transform allocation-free.
+	if n == Size4 {
+		var tmp [Size4 * Size4]int32
+		forward4(src, &tmp, s1)
+		forward4(tmp[:], (*[Size4 * Size4]int32)(dst), s2)
+		return nil
+	}
+	var tmp [Size8 * Size8]int32
+	forward8(src, &tmp, s1)
+	forward8(tmp[:], (*[Size8 * Size8]int32)(dst), s2)
 	return nil
 }
 
@@ -90,43 +75,103 @@ func Inverse(n int, src, dst []int32) error {
 	if err := checkBlock(n, src, dst); err != nil {
 		return err
 	}
-	var scratch [Size8 * Size8]int32
-	tmp := scratch[:n*n]
-	mulStage(n, src, tmp, 7, true)
-	mulStage(n, tmp, dst, 12, true)
+	if n == Size4 {
+		var tmp [Size4 * Size4]int32
+		inverse4(src, &tmp, 7)
+		inverse4(tmp[:], (*[Size4 * Size4]int32)(dst), 12)
+		return nil
+	}
+	var tmp [Size8 * Size8]int32
+	inverse8(src, &tmp, 7)
+	inverse8(tmp[:], (*[Size8 * Size8]int32)(dst), 12)
 	return nil
 }
 
-// mulStage performs one separable stage: for each row r of src (treated as
-// a vector v), dst column r receives M·v (forward) or Mᵀ·v (inverse), with
-// rounding right-shift. Writing results transposed means two applications
-// complete the 2-D transform in both dimensions.
-func mulStage(n int, src, dst []int32, shift uint, inverse bool) {
+// The four stages below are the HEVC partial butterflies: one separable
+// pass of the core matrix M (rows of the 4×4 matrix
+// {64,64,64,64; 83,36,-36,-83; 64,-64,-64,64; 36,-83,83,-36} and of its
+// 8×8 counterpart) split into even and odd halves. For each row r of src
+// (a vector v), dst column r receives M·v (forward) or Mᵀ·v (inverse),
+// rounded and shifted right; writing transposed means two passes complete
+// the 2-D transform. Accumulation is in int64, so every int32 input gives
+// the same result as the plain matrix product (the package tests hold the
+// product as the reference).
+
+func forward4(src []int32, dst *[Size4 * Size4]int32, shift uint) {
+	src = src[:Size4*Size4]
 	round := int64(1) << (shift - 1)
-	for r := 0; r < n; r++ {
-		v := src[r*n : r*n+n]
-		for k := 0; k < n; k++ {
-			var acc int64
-			for i := 0; i < n; i++ {
-				var coeff int32
-				if inverse {
-					coeff = matAt(n, i, k)
-				} else {
-					coeff = matAt(n, k, i)
-				}
-				acc += int64(coeff) * int64(v[i])
-			}
-			dst[k*n+r] = int32((acc + round) >> shift)
-		}
+	for r := 0; r < Size4; r++ {
+		v := src[r*Size4 : r*Size4+Size4 : r*Size4+Size4]
+		e0, o0 := int64(v[0])+int64(v[3]), int64(v[0])-int64(v[3])
+		e1, o1 := int64(v[1])+int64(v[2]), int64(v[1])-int64(v[2])
+		dst[r] = int32((64*e0 + 64*e1 + round) >> shift)
+		dst[2*Size4+r] = int32((64*e0 - 64*e1 + round) >> shift)
+		dst[Size4+r] = int32((83*o0 + 36*o1 + round) >> shift)
+		dst[3*Size4+r] = int32((36*o0 - 83*o1 + round) >> shift)
 	}
 }
 
-// matAt returns the (row, col) entry of the size-n core matrix.
-func matAt(n, row, col int) int32 {
-	if n == Size4 {
-		return m4[row][col]
+func inverse4(src []int32, dst *[Size4 * Size4]int32, shift uint) {
+	src = src[:Size4*Size4]
+	round := int64(1) << (shift - 1)
+	for r := 0; r < Size4; r++ {
+		v := src[r*Size4 : r*Size4+Size4 : r*Size4+Size4]
+		o0 := 83*int64(v[1]) + 36*int64(v[3])
+		o1 := 36*int64(v[1]) - 83*int64(v[3])
+		e0 := 64*int64(v[0]) + 64*int64(v[2])
+		e1 := 64*int64(v[0]) - 64*int64(v[2])
+		dst[r] = int32((e0 + o0 + round) >> shift)
+		dst[Size4+r] = int32((e1 + o1 + round) >> shift)
+		dst[2*Size4+r] = int32((e1 - o1 + round) >> shift)
+		dst[3*Size4+r] = int32((e0 - o0 + round) >> shift)
 	}
-	return m8[row][col]
+}
+
+func forward8(src []int32, dst *[Size8 * Size8]int32, shift uint) {
+	src = src[:Size8*Size8]
+	round := int64(1) << (shift - 1)
+	for r := 0; r < Size8; r++ {
+		v := src[r*Size8 : r*Size8+Size8 : r*Size8+Size8]
+		var e, o [4]int64
+		for k := 0; k < 4; k++ {
+			e[k] = int64(v[k]) + int64(v[7-k])
+			o[k] = int64(v[k]) - int64(v[7-k])
+		}
+		ee0, eo0 := e[0]+e[3], e[0]-e[3]
+		ee1, eo1 := e[1]+e[2], e[1]-e[2]
+		dst[r] = int32((64*ee0 + 64*ee1 + round) >> shift)
+		dst[4*Size8+r] = int32((64*ee0 - 64*ee1 + round) >> shift)
+		dst[2*Size8+r] = int32((83*eo0 + 36*eo1 + round) >> shift)
+		dst[6*Size8+r] = int32((36*eo0 - 83*eo1 + round) >> shift)
+		dst[Size8+r] = int32((89*o[0] + 75*o[1] + 50*o[2] + 18*o[3] + round) >> shift)
+		dst[3*Size8+r] = int32((75*o[0] - 18*o[1] - 89*o[2] - 50*o[3] + round) >> shift)
+		dst[5*Size8+r] = int32((50*o[0] - 89*o[1] + 18*o[2] + 75*o[3] + round) >> shift)
+		dst[7*Size8+r] = int32((18*o[0] - 50*o[1] + 75*o[2] - 89*o[3] + round) >> shift)
+	}
+}
+
+func inverse8(src []int32, dst *[Size8 * Size8]int32, shift uint) {
+	src = src[:Size8*Size8]
+	round := int64(1) << (shift - 1)
+	for r := 0; r < Size8; r++ {
+		v := src[r*Size8 : r*Size8+Size8 : r*Size8+Size8]
+		v1, v3, v5, v7 := int64(v[1]), int64(v[3]), int64(v[5]), int64(v[7])
+		o := [4]int64{
+			89*v1 + 75*v3 + 50*v5 + 18*v7,
+			75*v1 - 18*v3 - 89*v5 - 50*v7,
+			50*v1 - 89*v3 + 18*v5 + 75*v7,
+			18*v1 - 50*v3 + 75*v5 - 89*v7,
+		}
+		eo0 := 83*int64(v[2]) + 36*int64(v[6])
+		eo1 := 36*int64(v[2]) - 83*int64(v[6])
+		ee0 := 64*int64(v[0]) + 64*int64(v[4])
+		ee1 := 64*int64(v[0]) - 64*int64(v[4])
+		e := [4]int64{ee0 + eo0, ee1 + eo1, ee1 - eo1, ee0 - eo0}
+		for k := 0; k < 4; k++ {
+			dst[k*Size8+r] = int32((e[k] + o[k] + round) >> shift)
+			dst[(7-k)*Size8+r] = int32((e[k] - o[k] + round) >> shift)
+		}
+	}
 }
 
 func checkBlock(n int, src, dst []int32) error {

@@ -268,3 +268,30 @@ func TestQuantizeAliasingAllowed(t *testing.T) {
 		}
 	}
 }
+
+var benchBlock []int32
+
+func BenchmarkForward8(b *testing.B) {
+	src, dst := randBlock(Size8, 3), make([]int32, Size8*Size8)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := Forward(Size8, src, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchBlock = dst
+}
+
+func BenchmarkInverse8(b *testing.B) {
+	src, dst := randBlock(Size8, 3), make([]int32, Size8*Size8)
+	if err := Forward(Size8, src, src); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := Inverse(Size8, src, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchBlock = dst
+}
