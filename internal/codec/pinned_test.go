@@ -18,12 +18,12 @@ import (
 // say why.
 var pinnedDigests = map[int][]string{
 	4: {
-		"d46b342a08e4b05e", "0c5e37a3d9138936", "c6cf4c528cd00dd0", "b18a5dee6d865054",
+		"d46b342a08e4b05e", "0c5e37a3d9138936", "6fbac965962f6a09", "b18a5dee6d865054",
 		"3dba6d05effd658f", "4f56b506601226b5", "7fb27f202c26d6e4", "184983049da42a33",
 	},
 	8: {
-		"2e9ce86aea701f97", "a372f725559113c4", "b58487543e5413c9", "63bc81c9d5895115",
-		"da72e041e532a7c7", "d2226fc60bf72e3a", "ad903ccc1a63ed1c", "9668ba1474982a7f",
+		"2e9ce86aea701f97", "b8eccab704c464cb", "21030a2b51afc45d", "054620e5514cea36",
+		"30712c39da8adb0c", "4847d30c4e8788f5", "7611ba5c35e60d34", "e493324bc4dc8345",
 	},
 }
 

@@ -153,8 +153,12 @@ func (s *searchState) result() Result {
 }
 
 // sad computes the sum of absolute differences between the current block
-// and the reference block displaced by v, aborting early once the partial
-// sum exceeds bestSoFar (standard ME early termination).
+// and the reference block displaced by v, aborting at a row boundary once
+// the partial sum exceeds bestSoFar (standard ME early termination). A
+// partial sum equal to bestSoFar keeps summing: that candidate ties the
+// incumbent and may win the |mv| tie-break, so its SAD must be complete.
+// The abort stays row-granular because searchers compare the partial
+// costs the memo stores.
 func sad(b Block, v MV, bestSoFar int64) int64 {
 	rx, ry := b.X+v.X, b.Y+v.Y
 	var sum int64
@@ -170,7 +174,7 @@ func sad(b Block, v MV, bestSoFar int64) int64 {
 			rowSum += d
 		}
 		sum += int64(rowSum)
-		if sum >= bestSoFar {
+		if sum > bestSoFar {
 			return sum
 		}
 	}

@@ -261,6 +261,34 @@ func TestSADAtMatchesSearchCost(t *testing.T) {
 	}
 }
 
+// TestTiedPartialSADDoesNotWin hand-builds a tie between an incumbent and
+// a cheaper-vector candidate whose first SAD row alone reaches the
+// incumbent's cost. The candidate's full cost is higher, so it must lose,
+// and the reported cost must be the winner's full SAD. A SAD that stops
+// summing as soon as the partial sum equals the bound lets the candidate
+// win the |mv| tie-break with an understated cost.
+func TestTiedPartialSADDoesNotWin(t *testing.T) {
+	cur, ref := video.NewPlane(5, 5), video.NewPlane(5, 5)
+	cur.Fill(100)
+	ref.Fill(200) // every other candidate costs 200 per row
+	// Candidate (-1,-1), reached first by FullSearch's raster scan: SAD 2,
+	// penalty 8, cost 10.
+	ref.Set(1, 1, 101)
+	ref.Set(1, 2, 101)
+	// Candidate (0,-1): penalty 4, so its SAD bound is 10-4 = 6. Row 0
+	// costs exactly 6, row 1 another 5: full cost 15.
+	ref.Set(2, 1, 106)
+	ref.Set(2, 2, 105)
+	b := Block{Cur: cur, Ref: ref, X: 2, Y: 2, W: 1, H: 2}
+	res := FullSearch{}.Search(b, 1, MV{})
+	if res.MV != (MV{-1, -1}) || res.Cost != 2 {
+		t.Fatalf("search chose %v at cost %d, want (-1,-1) at cost 2", res.MV, res.Cost)
+	}
+	if sad, err := SADAt(b, res.MV); err != nil || sad != res.Cost {
+		t.Fatalf("reported cost %d, SADAt %d (err %v)", res.Cost, sad, err)
+	}
+}
+
 func TestSearchDeterministic(t *testing.T) {
 	cur, ref := shiftedPlanes(128, 128, -6, 4)
 	b := interiorBlock(cur, ref)
